@@ -1,9 +1,10 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the hot data structures: LRU
- * list operations, CLOCK scan passes, the LLC model, the zipfian
- * generator, and the simulator's end-to-end access path. These bound
- * the host-time cost of simulation and the simulated daemon overheads.
+ * list operations, CLOCK scan passes, the LLC model, the workload
+ * generators (RNG draws, zipfian ranks, R-MAT edges, CSR build), and the
+ * simulator's end-to-end access path. These bound the host-time cost of
+ * simulation and the simulated daemon overheads.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,6 +22,8 @@
 #include "sim/simulator.hh"
 #include "vm/address_space.hh"
 #include "vm/page.hh"
+#include "workloads/gapbs/builder.hh"
+#include "workloads/gapbs/generator.hh"
 #include "workloads/zipf.hh"
 
 using namespace mclock;
@@ -99,6 +102,54 @@ BM_ZipfianNext(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZipfianNext);
+
+void
+BM_RngNextDouble(benchmark::State &state)
+{
+    Rng rng(5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.nextDouble());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngNextDouble);
+
+void
+BM_KroneckerEdges(benchmark::State &state)
+{
+    const auto scale = static_cast<unsigned>(state.range(0));
+    Rng rng(5);
+    std::size_t edges = 0;
+    for (auto _ : state) {
+        const auto list = workloads::gapbs::makeKroneckerEdges(scale, 8, rng);
+        benchmark::DoNotOptimize(list.data());
+        edges += list.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(edges));
+}
+BENCHMARK(BM_KroneckerEdges)->Arg(14)->Unit(benchmark::kMillisecond);
+
+void
+BM_BuildCsr(benchmark::State &state)
+{
+    const auto scale = static_cast<unsigned>(state.range(0));
+    Rng rng(6);
+    const auto edges = workloads::gapbs::makeKroneckerEdges(scale, 8, rng);
+    sim::Simulator sim(sim::benchMachine());
+    sim.setPolicy(policies::makePolicy("static"));
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto input = edges;
+        state.ResumeTiming();
+        // Destroying the graph unmaps its arrays, so every iteration
+        // builds into the same empty address space.
+        auto graph = workloads::gapbs::Builder::build(
+            sim, std::move(input), workloads::gapbs::BuildOptions{});
+        benchmark::DoNotOptimize(graph->numEdges());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_BuildCsr)->Arg(14)->Unit(benchmark::kMillisecond);
 
 void
 BM_SimulatorAccessPath(benchmark::State &state)

@@ -15,7 +15,13 @@
 
 namespace mclock {
 
-/** xoshiro256** pseudo-random generator with splitmix64 seeding. */
+/**
+ * xoshiro256** pseudo-random generator with splitmix64 seeding.
+ *
+ * The per-draw members are defined inline below: workload generation
+ * makes tens of millions of draws per run, and an out-of-line call per
+ * draw costs more than the generator itself.
+ */
 class Rng
 {
   public:
@@ -41,8 +47,40 @@ class Rng
     Rng fork();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
+
+inline std::uint64_t
+Rng::next64()
+{
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+}
+
+inline double
+Rng::nextDouble()
+{
+    return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+}
+
+inline bool
+Rng::nextBool(double p)
+{
+    return nextDouble() < p;
+}
 
 }  // namespace mclock
 

@@ -25,26 +25,30 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
                                    [](const Edge &e) { return e.u == e.v; }),
                     edges.end());
     }
-    if (opts.symmetrize) {
-        const std::size_t orig = edges.size();
-        edges.reserve(orig * 2);
-        for (std::size_t i = 0; i < orig; ++i)
-            edges.push_back({edges[i].v, edges[i].u, edges[i].w});
-    }
+    // With symmetrize, the CSR holds every edge in both directions: the
+    // original edges first, then their reverses, each pass in list
+    // order. Visiting the reverses in place keeps the edge list at its
+    // input size.
+    const auto forEachDirected = [&edges, &opts](auto &&visit) {
+        for (const auto &e : edges)
+            visit(e.u, e.v, e.w);
+        if (opts.symmetrize) {
+            for (const auto &e : edges)
+                visit(e.v, e.u, e.w);
+        }
+    };
 
     // Optional degree-descending relabel (GAPBS TC preprocessing).
-    std::vector<GNode> relabel;
     if (opts.relabelByDegree) {
         std::vector<std::uint64_t> degree(n, 0);
-        for (const auto &e : edges)
-            ++degree[e.u];
+        forEachDirected([&degree](GNode u, GNode, Weight) { ++degree[u]; });
         std::vector<GNode> order(n);
         std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(),
                   [&degree](GNode a, GNode b) {
                       return degree[a] > degree[b];
                   });
-        relabel.assign(n, 0);
+        std::vector<GNode> relabel(n, 0);
         for (std::size_t rank = 0; rank < n; ++rank)
             relabel[order[rank]] = static_cast<GNode>(rank);
         for (auto &e : edges) {
@@ -55,22 +59,25 @@ Builder::build(sim::Simulator &sim, std::vector<Edge> edges,
 
     // Counting sort by source vertex into CSR.
     std::vector<std::uint64_t> offsets(n + 1, 0);
-    for (const auto &e : edges)
-        ++offsets[e.u + 1];
+    forEachDirected([&offsets](GNode u, GNode, Weight) { ++offsets[u + 1]; });
     for (std::size_t i = 1; i <= n; ++i)
         offsets[i] += offsets[i - 1];
-    std::vector<GNode> neighbors(edges.size());
-    std::vector<Weight> weights(opts.keepWeights ? edges.size() : 0);
+    const std::size_t m = offsets[n];
+    std::vector<GNode> neighbors(m);
+    std::vector<Weight> weights(opts.keepWeights ? m : 0);
     {
         std::vector<std::uint64_t> cursor(offsets.begin(),
                                           offsets.end() - 1);
-        for (const auto &e : edges) {
-            const std::uint64_t pos = cursor[e.u]++;
-            neighbors[pos] = e.v;
+        forEachDirected([&](GNode u, GNode v, Weight w) {
+            const std::uint64_t pos = cursor[u]++;
+            neighbors[pos] = v;
             if (opts.keepWeights)
-                weights[pos] = e.w;
-        }
+                weights[pos] = w;
+        });
     }
+    // The edge list is no longer needed; free it before the simulated
+    // arrays below take their host copies.
+    std::vector<Edge>().swap(edges);
 
     if (opts.sortAndDedupNeighbors) {
         std::vector<GNode> deduped;

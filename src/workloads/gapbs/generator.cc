@@ -14,22 +14,21 @@ makeKroneckerEdges(unsigned scale, unsigned degree, Rng &rng)
     const std::size_t m = n * degree;
     std::vector<Edge> edges;
     edges.reserve(m);
-    // Graph500 RMAT quadrant probabilities.
+    // Graph500 RMAT quadrant probabilities, as cumulative thresholds.
     const double a = 0.57, b = 0.19, c = 0.19;
+    const double ab = a + b, abc = a + b + c;
     for (std::size_t i = 0; i < m; ++i) {
         GNode u = 0, v = 0;
         for (unsigned bit = 0; bit < scale; ++bit) {
+            // r picks quadrant (u,v) = (0,0), (0,1), (1,0) or (1,1) by
+            // the first of a, ab, abc it falls below (the last if none).
+            // The thresholds ascend, so u's bit is r >= ab and v's bit,
+            // set in the second and fourth quadrant, is the parity of
+            // the three comparisons. No branches: the quadrant is random.
             const double r = rng.nextDouble();
-            if (r < a) {
-                // quadrant (0,0)
-            } else if (r < a + b) {
-                v |= 1u << bit;
-            } else if (r < a + b + c) {
-                u |= 1u << bit;
-            } else {
-                u |= 1u << bit;
-                v |= 1u << bit;
-            }
+            const GNode geA = r >= a, geAb = r >= ab, geAbc = r >= abc;
+            u |= geAb << bit;
+            v |= (geA ^ geAb ^ geAbc) << bit;
         }
         edges.push_back({u, v, 1});
     }

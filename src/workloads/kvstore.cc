@@ -66,7 +66,8 @@ KvStore::put(std::uint64_t key, std::size_t valueBytes)
 {
     if (!cfg_.batchAccesses) {
         sim_.compute(cfg_.cpuPerOp);
-        touchBucket(key, /*write=*/false);
+        const Vaddr bucket = bucketAddr(key);
+        sim_.read(bucket, sizeof(std::uint64_t));
         const Item *it = index_.find(key);
         if (it) {
             // Overwrite in place: read header, write value.
@@ -78,8 +79,8 @@ KvStore::put(std::uint64_t key, std::size_t valueBytes)
         const std::size_t bytes = cfg_.itemHeaderBytes + valueBytes;
         const Vaddr addr = allocItem(bytes);
         freeSlotBytes_ = std::max(freeSlotBytes_, bytes);
-        touchBucket(key, /*write=*/true);  // link into the chain
-        sim_.write(addr, bytes);           // write header + value
+        sim_.write(bucket, sizeof(std::uint64_t));  // link into the chain
+        sim_.write(addr, bytes);                    // write header + value
         index_.emplace(key, Item{addr, bytes});
         return;
     }
@@ -88,7 +89,8 @@ KvStore::put(std::uint64_t key, std::size_t valueBytes)
     MemOp ops[4];
     std::size_t n = 0;
     ops[n++] = MemOp::cpu(cfg_.cpuPerOp);
-    ops[n++] = MemOp::load(bucketAddr(key), sizeof(std::uint64_t));
+    const Vaddr bucket = bucketAddr(key);
+    ops[n++] = MemOp::load(bucket, sizeof(std::uint64_t));
     const Item *it = index_.find(key);
     if (it) {
         // Overwrite in place: read header, write value.
@@ -103,8 +105,7 @@ KvStore::put(std::uint64_t key, std::size_t valueBytes)
         const Vaddr addr = allocItem(bytes);
         freeSlotBytes_ = std::max(freeSlotBytes_, bytes);
         // Link into the chain, then write header + value.
-        ops[n++] = MemOp::store(bucketAddr(key),
-                                sizeof(std::uint64_t));
+        ops[n++] = MemOp::store(bucket, sizeof(std::uint64_t));
         ops[n++] = MemOp::store(addr,
                                 static_cast<std::uint32_t>(bytes));
         index_.emplace(key, Item{addr, bytes});

@@ -7,17 +7,6 @@
 namespace mclock {
 namespace workloads {
 
-std::uint64_t
-fnv1a64(std::uint64_t v)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (int i = 0; i < 8; ++i) {
-        hash ^= (v >> (i * 8)) & 0xff;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)
     : items_(n), theta_(theta)
 {
@@ -45,6 +34,7 @@ ZipfianGenerator::computeConstants()
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(items_),
                            1.0 - theta_)) /
            (1.0 - zeta2Theta_ / zetaN_);
+    rank1Bound_ = 1.0 + std::pow(0.5, theta_);
 }
 
 void
@@ -67,7 +57,7 @@ ZipfianGenerator::next(Rng &rng)
     const double uz = u * zetaN_;
     if (uz < 1.0)
         return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_))
+    if (uz < rank1Bound_)
         return 1;
     const auto rank = static_cast<std::uint64_t>(
         static_cast<double>(items_) *

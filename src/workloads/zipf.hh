@@ -44,6 +44,8 @@ class ZipfianGenerator
     double alpha_;
     double zeta2Theta_;
     double eta_;
+    /** 1 + 0.5^theta: next() returns rank 1 below this scaled draw. */
+    double rank1Bound_;
 };
 
 /**
@@ -95,7 +97,16 @@ class UniformGenerator
 };
 
 /** FNV-1a 64-bit hash (the scrambler YCSB uses). */
-std::uint64_t fnv1a64(std::uint64_t v);
+inline std::uint64_t
+fnv1a64(std::uint64_t v)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 8; ++i) {
+        hash ^= (v >> (i * 8)) & 0xff;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
 
 }  // namespace workloads
 }  // namespace mclock

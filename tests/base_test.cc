@@ -128,6 +128,57 @@ TEST(RngTest, ForkIsIndependent)
     EXPECT_LT(same, 2);
 }
 
+// Known answers: every workload is a function of these streams, so any
+// change to the generator (including inlining or reordering it) must
+// reproduce them bit for bit.
+TEST(RngTest, KnownAnswerNext64)
+{
+    Rng rng(42);
+    EXPECT_EQ(rng.next64(), 0x15780b2e0c2ec716ull);
+    EXPECT_EQ(rng.next64(), 0x6104d9866d113a7eull);
+    EXPECT_EQ(rng.next64(), 0xae17533239e499a1ull);
+    EXPECT_EQ(rng.next64(), 0xecb8ad4703b360a1ull);
+}
+
+TEST(RngTest, KnownAnswerNextDouble)
+{
+    Rng rng(7);
+    EXPECT_EQ(rng.nextDouble(), 0x1.66b1f5ee9df2ep-1);
+    EXPECT_EQ(rng.nextDouble(), 0x1.1d70f6593d20ap-2);
+    EXPECT_EQ(rng.nextDouble(), 0x1.ade3a6932a58fp-1);
+    EXPECT_EQ(rng.nextDouble(), 0x1.f65270e63d00ep-1);
+}
+
+TEST(RngTest, KnownAnswerNextRange)
+{
+    Rng rng(9);
+    EXPECT_EQ(rng.nextRange(1000), 840u);
+    EXPECT_EQ(rng.nextRange(1000), 785u);
+    EXPECT_EQ(rng.nextRange(1000), 767u);
+    EXPECT_EQ(rng.nextRange(1000), 116u);
+    // A bound just above 2^63 rejects almost half the raw draws.
+    EXPECT_EQ(rng.nextRange((1ull << 63) + 1), 7758424192427231588u);
+    EXPECT_EQ(rng.nextRange((1ull << 63) + 1), 4508544938127905439u);
+}
+
+TEST(RngTest, KnownAnswerNextBool)
+{
+    Rng rng(11);
+    std::uint32_t mask = 0;
+    for (unsigned i = 0; i < 32; ++i)
+        mask |= static_cast<std::uint32_t>(rng.nextBool(0.3)) << i;
+    EXPECT_EQ(mask, 0x0e572617u);
+}
+
+TEST(RngTest, KnownAnswerFork)
+{
+    Rng parent(5);
+    Rng child = parent.fork();
+    EXPECT_EQ(child.next64(), 0x091202d77b981e85ull);
+    EXPECT_EQ(child.next64(), 0xabed1bc85f216b95ull);
+    EXPECT_EQ(parent.next64(), 0x9a22115a4d2624dcull);
+}
+
 // --- Intrusive list --------------------------------------------------------
 
 struct ListItem
@@ -527,8 +578,9 @@ TEST(FlatMap64Test, ChurnPropertyAgainstUnorderedMap)
             const auto *got = map.find(key);
             const auto it = ref.find(key);
             ASSERT_EQ(got != nullptr, it != ref.end());
-            if (got)
+            if (got) {
                 ASSERT_EQ(*got, it->second);
+            }
         }
         ASSERT_EQ(map.size(), ref.size());
     }

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <queue>
+#include <vector>
 
 #include "base/units.hh"
 #include "policies/static_tiering.hh"
@@ -89,6 +92,41 @@ TEST(GeneratorTest, WeightsInRange)
     }
 }
 
+// Known answers: an FNV-style digest of the edge list, its length and
+// the generator's next draw, so both the values and the number of draws
+// consumed are pinned.
+std::uint64_t
+digestEdges(const std::vector<Edge> &edges, Rng &rng)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t x) {
+        h = (h ^ x) * 0x100000001b3ull;
+    };
+    for (const auto &e : edges) {
+        mix(e.u);
+        mix(e.v);
+        mix(e.w);
+    }
+    mix(edges.size());
+    mix(rng.next64());
+    return h;
+}
+
+TEST(GeneratorTest, KnownAnswerKronecker)
+{
+    Rng rng(1);
+    const auto edges = makeKroneckerEdges(12, 8, rng);
+    EXPECT_EQ(digestEdges(edges, rng), 0x2213f43c303876b4ull);
+}
+
+TEST(GeneratorTest, KnownAnswerUniformWeighted)
+{
+    Rng rng(3);
+    auto edges = makeUniformEdges(10, 8, rng);
+    assignWeights(edges, 64, rng);
+    EXPECT_EQ(digestEdges(edges, rng), 0xc2e3c9360f933db6ull);
+}
+
 // --- Builder ----------------------------------------------------------------
 
 TEST(BuilderTest, TinyGraphCsr)
@@ -149,6 +187,152 @@ TEST(BuilderTest, RelabelByDegreePutsHubsFirst)
     auto g = Builder::build(*sim, edges, opts);
     // The hub (old vertex 3, degree 3) becomes vertex 0.
     EXPECT_EQ(g->peekDegree(0), 3u);
+}
+
+/** Host-side CSR arrays, as the reference builder produces them. */
+struct RefCsr
+{
+    std::vector<std::uint64_t> offsets;
+    std::vector<GNode> neighbors;
+    std::vector<Weight> weights;
+};
+
+/**
+ * Reference builder: the straightforward algorithm that appends a
+ * mirrored copy of every edge to the list and counting-sorts the result.
+ * Builder::build must reproduce it exactly.
+ */
+RefCsr
+referenceCsr(std::vector<Edge> edges, const BuildOptions &opts)
+{
+    GNode maxId = 0;
+    for (const auto &e : edges)
+        maxId = std::max({maxId, e.u, e.v});
+    const std::size_t n = static_cast<std::size_t>(maxId) + 1;
+    if (opts.removeSelfLoops)
+        std::erase_if(edges, [](const Edge &e) { return e.u == e.v; });
+    if (opts.symmetrize) {
+        const std::size_t orig = edges.size();
+        edges.reserve(orig * 2);
+        for (std::size_t i = 0; i < orig; ++i)
+            edges.push_back({edges[i].v, edges[i].u, edges[i].w});
+    }
+    if (opts.relabelByDegree) {
+        std::vector<std::uint64_t> degree(n, 0);
+        for (const auto &e : edges)
+            ++degree[e.u];
+        std::vector<GNode> order(n);
+        std::iota(order.begin(), order.end(), 0);
+        std::sort(order.begin(), order.end(), [&degree](GNode a, GNode b) {
+            return degree[a] > degree[b];
+        });
+        std::vector<GNode> relabel(n);
+        for (std::size_t rank = 0; rank < n; ++rank)
+            relabel[order[rank]] = static_cast<GNode>(rank);
+        for (auto &e : edges) {
+            e.u = relabel[e.u];
+            e.v = relabel[e.v];
+        }
+    }
+    RefCsr csr;
+    csr.offsets.assign(n + 1, 0);
+    for (const auto &e : edges)
+        ++csr.offsets[e.u + 1];
+    std::partial_sum(csr.offsets.begin(), csr.offsets.end(),
+                     csr.offsets.begin());
+    csr.neighbors.resize(edges.size());
+    if (opts.keepWeights)
+        csr.weights.resize(edges.size());
+    std::vector<std::uint64_t> cursor(csr.offsets.begin(),
+                                      csr.offsets.end() - 1);
+    for (const auto &e : edges) {
+        const std::uint64_t pos = cursor[e.u]++;
+        csr.neighbors[pos] = e.v;
+        if (opts.keepWeights)
+            csr.weights[pos] = e.w;
+    }
+    if (opts.sortAndDedupNeighbors) {
+        std::vector<GNode> deduped;
+        std::vector<std::uint64_t> dedupedOffsets(n + 1, 0);
+        for (std::size_t u = 0; u < n; ++u) {
+            const auto begin = csr.neighbors.begin() +
+                               static_cast<long>(csr.offsets[u]);
+            const auto end = csr.neighbors.begin() +
+                             static_cast<long>(csr.offsets[u + 1]);
+            std::sort(begin, end);
+            const std::size_t before = deduped.size();
+            for (auto it = begin; it != end; ++it) {
+                if (deduped.size() == before || deduped.back() != *it)
+                    deduped.push_back(*it);
+            }
+            dedupedOffsets[u + 1] = deduped.size();
+        }
+        csr.offsets = std::move(dedupedOffsets);
+        csr.neighbors = std::move(deduped);
+    }
+    return csr;
+}
+
+TEST(BuilderTest, MatchesMirroredCopyReference)
+{
+    // A small random graph plus self-loops and duplicates in both
+    // orientations, with distinct weights so misplaced ones show.
+    Rng rng(6);
+    std::vector<Edge> edges = makeUniformEdges(5, 3, rng);
+    assignWeights(edges, 9, rng);
+    edges.insert(edges.end(), {{3, 3, 4}, {7, 2, 5}, {7, 2, 6}, {2, 7, 1},
+                               {0, 0, 2}, {31, 7, 8}});
+
+    for (unsigned mask = 0; mask < 32; ++mask) {
+        BuildOptions opts;
+        opts.symmetrize = (mask & 1) != 0;
+        opts.removeSelfLoops = (mask & 2) != 0;
+        opts.relabelByDegree = (mask & 4) != 0;
+        opts.sortAndDedupNeighbors = (mask & 8) != 0;
+        opts.keepWeights = (mask & 16) != 0;
+        if (opts.sortAndDedupNeighbors && opts.keepWeights)
+            continue;  // rejected by the builder
+        SCOPED_TRACE(::testing::Message() << "options mask " << mask);
+
+        auto sim = makeSim();
+        auto g = Builder::build(*sim, edges, opts);
+        const RefCsr ref = referenceCsr(edges, opts);
+
+        // Materialise the reference exactly as the builder's load phase
+        // does, so region placement and simulated time can be compared.
+        auto refSim = makeSim();
+        InstrumentedArray<std::uint64_t> offsets(*refSim, ref.offsets.size(),
+                                                 "gapbs-offsets");
+        offsets.streamInit();
+        InstrumentedArray<GNode> neighbors(*refSim, ref.neighbors.size(),
+                                           "gapbs-neighbors");
+        neighbors.streamInit();
+        InstrumentedArray<Weight> weights;
+        if (opts.keepWeights) {
+            weights.allocate(*refSim, ref.weights.size(), "gapbs-weights");
+            weights.streamInit();
+        }
+
+        const auto &got = sim->space().regions();
+        const auto &want = refSim->space().regions();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].start, want[i].start);
+            EXPECT_EQ(got[i].bytes, want[i].bytes);
+            EXPECT_EQ(got[i].name, want[i].name);
+        }
+        EXPECT_EQ(sim->now(), refSim->now());
+
+        ASSERT_EQ(g->numVertices() + 1, ref.offsets.size());
+        for (std::size_t u = 0; u < ref.offsets.size(); ++u)
+            EXPECT_EQ(g->peekOffset(static_cast<GNode>(u)), ref.offsets[u]);
+        ASSERT_EQ(g->numEdges(), ref.neighbors.size());
+        for (std::size_t e = 0; e < ref.neighbors.size(); ++e)
+            EXPECT_EQ(g->peekNeighbor(e), ref.neighbors[e]);
+        ASSERT_EQ(g->weighted(), opts.keepWeights);
+        for (std::size_t e = 0; e < ref.weights.size(); ++e)
+            EXPECT_EQ(g->weight(e), ref.weights[e]);
+    }
 }
 
 // --- Kernels on a known graph --------------------------------------------------

@@ -89,6 +89,29 @@ TEST(ZipfTest, ScrambledSpreadsHotKeys)
     EXPECT_EQ(hottest, fnv1a64(0) % 1000);
 }
 
+// Known answers: an FNV-style digest of 10k scrambled-zipfian keys. The
+// YCSB key streams (and every KV golden) are a function of these draws.
+std::uint64_t
+digestScrambledZipf(double theta)
+{
+    Rng rng(17);
+    ScrambledZipfianGenerator zipf(100000, theta);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 10000; ++i)
+        h = (h ^ zipf.next(rng)) * 0x100000001b3ull;
+    return h;
+}
+
+TEST(ZipfTest, KnownAnswerScrambledTheta099)
+{
+    EXPECT_EQ(digestScrambledZipf(0.99), 0x1a7eae699e48654dull);
+}
+
+TEST(ZipfTest, KnownAnswerScrambledTheta08)
+{
+    EXPECT_EQ(digestScrambledZipf(0.8), 0x71158d3b1d8608acull);
+}
+
 TEST(ZipfTest, LatestFavoursNewest)
 {
     Rng rng(5);
