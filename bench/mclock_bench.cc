@@ -13,11 +13,14 @@
  *   mclock_bench --bench --repeat 3       # wall-clock benchmark mode
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -110,15 +113,47 @@ listScenarios()
     std::printf("\n%zu scenarios registered\n", count);
 }
 
+/**
+ * Parse all of @p text as an unsigned decimal no larger than @p max.
+ * strtoull alone skips leading blanks and negates a '-' operand, so the
+ * first character must be a digit.
+ */
+bool
+parseUnsigned(const char *text, unsigned long long max,
+              unsigned long long &value)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    value = std::strtoull(text, &end, 10);
+    return errno != ERANGE && *end == '\0' && value <= max;
+}
+
+/** Operand of @p flag as a T no smaller than @p min; exits 2 if not. */
+template <typename T>
+T
+flagValue(const char *flag, const char *text, T min = 0)
+{
+    const unsigned long long max = std::numeric_limits<T>::max();
+    unsigned long long value = 0;
+    if (!parseUnsigned(text, max, value) || value < min) {
+        std::fprintf(stderr, "bad %s '%s' (want an integer in [%llu, %llu])\n",
+                     flag, text, static_cast<unsigned long long>(min), max);
+        std::exit(2);
+    }
+    return static_cast<T>(value);
+}
+
 bool
 parseParam(const char *text, RunContext &ctx)
 {
     const char *eq = std::strchr(text, '=');
     if (!eq || eq == text)
         return false;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(eq + 1, &end, 10);
-    if (end == eq + 1 || *end != '\0')
+    unsigned long long value = 0;
+    if (!parseUnsigned(eq + 1, std::numeric_limits<std::uint64_t>::max(),
+                       value))
         return false;
     ctx.params[std::string(text, eq)] =
         static_cast<std::uint64_t>(value);
@@ -227,17 +262,14 @@ main(int argc, char **argv)
         } else if (arg == "--filter") {
             filter = operand("--filter");
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(operand("--jobs"), nullptr, 10));
+            jobs = flagValue<unsigned>("--jobs", operand("--jobs"));
         } else if (arg == "--shards") {
-            ctx.shards = static_cast<unsigned>(
-                std::strtoul(operand("--shards"), nullptr, 10));
-            if (ctx.shards == 0)
-                ctx.shards = 1;
+            ctx.shards =
+                flagValue<unsigned>("--shards", operand("--shards"), 1);
         } else if (arg == "--out") {
             outDir = operand("--out");
         } else if (arg == "--seed") {
-            ctx.seed = std::strtoull(operand("--seed"), nullptr, 10);
+            ctx.seed = flagValue<std::uint64_t>("--seed", operand("--seed"));
         } else if (arg == "--param") {
             const char *p = operand("--param");
             if (!parseParam(p, ctx)) {
@@ -264,15 +296,10 @@ main(int argc, char **argv)
         } else if (arg == "--bench") {
             bench = true;
         } else if (arg == "--repeat") {
-            repeat = static_cast<unsigned>(
-                std::strtoul(operand("--repeat"), nullptr, 10));
-            if (repeat == 0) {
-                std::fprintf(stderr, "--repeat must be >= 1\n");
-                return 2;
-            }
+            repeat =
+                flagValue<unsigned>("--repeat", operand("--repeat"), 1);
         } else if (arg == "--warmup") {
-            warmup = static_cast<unsigned>(
-                std::strtoul(operand("--warmup"), nullptr, 10));
+            warmup = flagValue<unsigned>("--warmup", operand("--warmup"));
         } else if (arg == "--bench-out") {
             benchOut = operand("--bench-out");
         } else if (arg == "--bench-baseline") {

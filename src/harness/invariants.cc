@@ -179,7 +179,6 @@ collectCounterViolations(sim::Simulator &sim)
     using stats::VmItem;
     std::vector<std::string> out;
     const auto &vm = sim.vmstat();
-    auto &st = sim.stats();
 
     // Migration accounting: three observers (vmstat, Metrics, the
     // migration engine) counted the same events independently.
@@ -214,16 +213,14 @@ collectCounterViolations(sim::Simulator &sim)
                         sim.migrationEngine().rollbacks());
     }
 
-    // Swap traffic and reclaim: pswpin/pswpout shadow the legacy stats.
-    // pswpout is charged only for anonymous pages entering the swap
-    // area; file-backed evictions surface as pgwriteback instead, and
-    // every evicted page of either kind was stolen from its node.
-    if (vm.global(VmItem::Pswpin) != st.get("swap_ins"))
+    // Swap traffic and reclaim: the swap device counts its own page-ins
+    // and page-outs. pswpout is charged only for anonymous pages
+    // entering the swap area; file-backed evictions surface as
+    // pgwriteback instead, and every evicted page of either kind was
+    // stolen from its node.
+    if (vm.global(VmItem::Pswpin) != sim.swap().pageIns())
         counterMismatch(out, "pswpin", vm.global(VmItem::Pswpin),
-                        st.get("swap_ins"));
-    if (vm.global(VmItem::Pswpout) != st.get("swap_outs"))
-        counterMismatch(out, "pswpout", vm.global(VmItem::Pswpout),
-                        st.get("swap_outs"));
+                        sim.swap().pageIns());
     if (vm.global(VmItem::Pswpout) != sim.swap().swapOuts())
         counterMismatch(out, "pswpout(swap)", vm.global(VmItem::Pswpout),
                         sim.swap().swapOuts());
@@ -238,27 +235,14 @@ collectCounterViolations(sim::Simulator &sim)
                             vm.global(VmItem::Pgwriteback));
     }
 
-    // Fault attribution: every frame allocation (minor fault or swap-in)
-    // landed on exactly one tier.
-    const std::uint64_t faults = vm.global(VmItem::PgfaultDram) +
-                                 vm.global(VmItem::PgfaultPm);
-    const std::uint64_t allocs =
-        st.get("minor_faults") + st.get("swap_ins");
-    if (faults != allocs)
-        counterMismatch(out, "pgfault_dram+pgfault_pm", faults, allocs);
-    if (vm.global(VmItem::PghintFault) != st.get("hint_faults"))
-        counterMismatch(out, "pghint_fault",
-                        vm.global(VmItem::PghintFault),
-                        st.get("hint_faults"));
-
     // LRU scan classification never exceeds the charged scan volume
     // (page-table profiling passes are charged but not list scans).
     const std::uint64_t pgscan = vm.global(VmItem::PgscanActive) +
                                  vm.global(VmItem::PgscanInactive) +
                                  vm.global(VmItem::PgscanPromote);
-    if (pgscan > st.get("scanned_pages")) {
+    if (pgscan > sim.metrics().scannedPages()) {
         counterMismatch(out, "pgscan_active+inactive+promote", pgscan,
-                        st.get("scanned_pages"));
+                        sim.metrics().scannedPages());
     }
 
     // Per-node attribution: node counts can never exceed the global

@@ -42,17 +42,17 @@ std::vector<std::string> collectViolations(sim::Simulator &sim);
  * independent ground truth:
  *
  *  - pgpromote_success == Metrics::totalPromotions() and pgdemote ==
- *    totalDemotions() (the counters and the legacy accounting observe
- *    the same migrations);
- *  - pswpin / pswpout match the legacy swap_ins / swap_outs stats, and
- *    every swap-out is also a pgsteal;
- *  - pgfault_dram + pgfault_pm == minor_faults + swap_ins (every frame
- *    allocation is attributed to exactly one tier);
- *  - pghint_fault == hint_faults;
- *  - pgexchange == MigrationEngine::exchanges();
+ *    totalDemotions() (Metrics and vmstat observe the same
+ *    migrations);
+ *  - pgexchange == MigrationEngine::tieredExchanges(), and the engine's
+ *    aborts and rollbacks reached pgmigrate_abort/pgmigrate_rollback;
+ *  - pswpin / pswpout / pgwriteback match the swap device's own
+ *    pageIns() / swapOuts() / writebacks(), and pgsteal == pswpout +
+ *    pgwriteback;
  *  - LRU scan counters never exceed the charged scan volume:
- *    pgscan_active + pgscan_inactive + pgscan_promote <= scanned_pages
- *    (page-table profiling passes charge but are not LRU scans);
+ *    pgscan_active + pgscan_inactive + pgscan_promote <=
+ *    Metrics::scannedPages() (page-table profiling passes charge but
+ *    are not LRU scans);
  *  - per-node counts sum to at most the global count for every item,
  *    with equality for the node-attributed items above.
  */

@@ -97,8 +97,8 @@ runTier3Ycsb(const std::string &policy, const Tier3YcsbProfile &p,
         static_cast<double>(sim.metrics().totalPromotions());
     rec.metrics["demotions"] =
         static_cast<double>(sim.metrics().totalDemotions());
-    rec.metrics["swap_outs"] =
-        static_cast<double>(sim.stats().get("swap_outs"));
+    rec.metrics["swap_outs"] = static_cast<double>(
+        sim.vmstat().global(stats::VmItem::Pswpout));
     addTierMetrics(sim, rec);
     checkRunInvariants(sim, rec);
     return rec;

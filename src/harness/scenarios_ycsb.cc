@@ -63,16 +63,16 @@ runSingleWorkload(const std::string &policy, const YcsbProfile &p,
         static_cast<double>(sim.metrics().totalDemotions());
     rec.metrics["reaccessed"] =
         static_cast<double>(sim.metrics().totalReaccessed());
-    rec.metrics["hint_faults"] =
-        static_cast<double>(sim.stats().get("hint_faults"));
+    rec.metrics["hint_faults"] = static_cast<double>(
+        sim.vmstat().global(stats::VmItem::PghintFault));
     rec.metrics["scanned_pages"] =
-        static_cast<double>(sim.stats().get("scanned_pages"));
+        static_cast<double>(sim.metrics().scannedPages());
     rec.metrics["inline_overhead_ns"] =
-        static_cast<double>(sim.stats().get("inline_overhead_ns"));
+        static_cast<double>(sim.metrics().inlineOverheadNs());
     rec.metrics["background_work_ns"] =
-        static_cast<double>(sim.stats().get("background_work_ns"));
-    rec.metrics["swap_outs"] =
-        static_cast<double>(sim.stats().get("swap_outs"));
+        static_cast<double>(sim.metrics().backgroundWorkNs());
+    rec.metrics["swap_outs"] = static_cast<double>(
+        sim.vmstat().global(stats::VmItem::Pswpout));
     const auto &windows = sim.metrics().windows();
     rec.metrics["windows"] = static_cast<double>(windows.size());
     char key[48];

@@ -109,8 +109,9 @@ Metrics::mergeFrom(const Metrics &other)
         tierLatencyTotals_.resize(other.tierLatencyTotals_.size());
     for (std::size_t t = 0; t < other.tierLatencyTotals_.size(); ++t)
         tierLatencyTotals_[t] += other.tierLatencyTotals_[t];
-    for (const auto &[name, value] : other.stats_.all())
-        stats_.inc(name, value);
+    inlineOverheadNs_ += other.inlineOverheadNs_;
+    backgroundWorkNs_ += other.backgroundWorkNs_;
+    scannedPages_ += other.scannedPages_;
 }
 
 }  // namespace sim

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/stats.hh"
 #include "base/types.hh"
 #include "base/units.hh"
 #include "vm/page.hh"
@@ -121,17 +120,26 @@ class Metrics
     /** Total ns of memory service time spent in the tier at @p rank. */
     SimTime totalTierLatency(TierRank rank) const;
 
-    /** Free-form named counters for policy-specific events. */
-    StatRegistry &stats() { return stats_; }
-    const StatRegistry &stats() const { return stats_; }
+    /**
+     * Charged-cost totals (Simulator::chargeInline/chargeBackground/
+     * chargeScan): inline ns charged to the faulting access, background
+     * ns of daemon work before the interference factor, and pages
+     * visited by charged scans.
+     */
+    void addInlineOverhead(SimTime t) { inlineOverheadNs_ += t; }
+    void addBackgroundWork(SimTime t) { backgroundWorkNs_ += t; }
+    void addScannedPages(std::uint64_t pages) { scannedPages_ += pages; }
+    std::uint64_t inlineOverheadNs() const { return inlineOverheadNs_; }
+    std::uint64_t backgroundWorkNs() const { return backgroundWorkNs_; }
+    std::uint64_t scannedPages() const { return scannedPages_; }
 
     /**
      * Accumulate @p other into this instance: windows add index-wise
      * (both sides bucket simulated time with the same window length),
-     * totals and per-tier counters add element-wise, named stats add by
-     * key. The reduction is commutative, so the sharded runtime's
-     * merged view is identical for any worker count. Panics if the
-     * window lengths differ.
+     * totals, per-tier counters and charge totals add element-wise. The
+     * reduction is commutative, so the sharded runtime's merged view is
+     * identical for any worker count. Panics if the window lengths
+     * differ.
      */
     void mergeFrom(const Metrics &other);
 
@@ -176,7 +184,9 @@ class Metrics
     std::uint64_t totalReaccessed_ = 0;
     std::vector<std::uint64_t> tierAccessTotals_;  ///< indexed by rank
     std::vector<SimTime> tierLatencyTotals_;       ///< indexed by rank
-    StatRegistry stats_;
+    std::uint64_t inlineOverheadNs_ = 0;
+    std::uint64_t backgroundWorkNs_ = 0;
+    std::uint64_t scannedPages_ = 0;
 };
 
 }  // namespace sim

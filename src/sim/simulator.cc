@@ -192,7 +192,7 @@ void
 Simulator::chargeInline(SimTime t)
 {
     now_ += t;
-    metrics_.stats().inc("inline_overhead_ns", t);
+    metrics_.addInlineOverhead(t);
 }
 
 void
@@ -201,8 +201,7 @@ Simulator::chargeBackground(SimTime t)
     const auto charged = static_cast<SimTime>(
         static_cast<double>(t) * cfg_.mem.backgroundInterference);
     now_ += charged;
-    metrics_.stats().inc("background_work_ns", t);
-    metrics_.stats().inc("background_charged_ns", charged);
+    metrics_.addBackgroundWork(t);
 }
 
 void
@@ -210,7 +209,7 @@ Simulator::chargeScan(std::uint64_t pages)
 {
     if (pages == 0)
         return;
-    metrics_.stats().inc("scanned_pages", pages);
+    metrics_.addScannedPages(pages);
     chargeBackground(pages * cfg_.mem.scanPerPageCost);
 }
 
@@ -548,8 +547,6 @@ Simulator::evictPage(Page *page)
         page->setActive(false);
         page->setPromoteFlag(false);
         page->setPteReferenced(false);
-        metrics_.stats().inc(page->isAnon() ? "swap_outs"
-                                            : "writebacks");
     } else {
         // No swap space: in the kernel this path ends with the OOM
         // killer. We surface it as a fatal config error instead.
@@ -650,7 +647,6 @@ Simulator::accessOnePage(Vaddr va, bool write, bool supervised)
     if (pg->hintPoisoned()) [[unlikely]] {
         pg->setHintPoisoned(false);
         chargeInline(cfg_.mem.hintFaultLatency);
-        metrics_.stats().inc("hint_faults");
         vmstat_.add(stats::VmItem::PghintFault, pg->node());
         policy_->onHintFault(pg);
     }
@@ -707,7 +703,6 @@ Simulator::handleMinorFault(PageNum vpn)
     const SimTime zeroFill = cfg_.mem.copyLatency(
         pageTier(pg), pageTier(pg), kPageSize);
     chargeInline(cfg_.mem.minorFaultLatency + zeroFill);
-    metrics_.stats().inc("minor_faults");
     return pg;
 }
 
@@ -718,7 +713,6 @@ Simulator::handleSwapIn(Page *page)
     swap_.pageIn(page);
     policy_->onPageAllocated(page);
     chargeInline(cfg_.mem.minorFaultLatency + cfg_.mem.swapLatency);
-    metrics_.stats().inc("swap_ins");
     vmstat_.add(stats::VmItem::Pswpin, page->node());
 }
 

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "base/rng.hh"
-#include "base/stats.hh"
 #include "base/types.hh"
 #include "mem/cache.hh"
 #include "mem/memory_config.hh"
@@ -156,7 +155,6 @@ class Simulator
     const MachineConfig &config() const { return cfg_; }
     const MemoryConfig &memConfig() const { return cfg_.mem; }
     Metrics &metrics() { return metrics_; }
-    StatRegistry &stats() { return metrics_.stats(); }
 
     /** Kernel-style vmstat counters (per-node + global, monotonic). */
     stats::VmStat &vmstat() { return vmstat_; }

@@ -276,7 +276,7 @@ TEST_F(MultiClockTest, HotPmemPageGetsPromotedByDaemon)
             break;
     }
     EXPECT_EQ(sim_->pageTier(pg), TierKind::Dram);
-    EXPECT_GE(sim_->stats().get("kpromoted_promoted"), 1u);
+    EXPECT_GE(sim_->vmstat().global(stats::VmItem::PgpromoteSuccess), 1u);
 }
 
 TEST_F(MultiClockTest, ColdPmemPageStaysInPmem)
@@ -308,7 +308,8 @@ TEST_F(MultiClockTest, PressureDemotesColdInactivePages)
     policy_->handlePressure(dram());
     EXPECT_TRUE(dram().aboveHigh());
     EXPECT_GT(sim_->metrics().totalDemotions(), 0u);
-    EXPECT_EQ(sim_->stats().get("swap_outs"), 0u);  // PM had space
+    // PM had space.
+    EXPECT_EQ(sim_->vmstat().global(stats::VmItem::Pswpout), 0u);
 }
 
 TEST_F(MultiClockTest, AllocatorWakesKswapdUnderPressure)
@@ -343,7 +344,7 @@ TEST_F(MultiClockTest, LowestTierPressureEvictsToStorage)
     const Vaddr a = sim_->mmap((total + 64) * kPageSize, true, "big");
     for (std::size_t i = 0; i < total + 64; ++i)
         sim_->write(a + i * kPageSize);
-    EXPECT_GT(sim_->stats().get("swap_outs"), 0u);
+    EXPECT_GT(sim_->vmstat().global(stats::VmItem::Pswpout), 0u);
 }
 
 // --- Config ------------------------------------------------------------------------
@@ -352,11 +353,10 @@ TEST_F(MultiClockTest, ScanIntervalAdjustable)
 {
     policy_->setScanInterval(250_ms);
     EXPECT_EQ(policy_->config().scanInterval, 250_ms);
-    int before = static_cast<int>(sim_->stats().get("kpromoted_runs"));
+    const auto before = sim_->vmstat().global(stats::VmItem::KpromotedWake);
     sim_->compute(1_s);
-    const int runs =
-        static_cast<int>(sim_->stats().get("kpromoted_runs")) - before;
-    EXPECT_EQ(runs, 4);
+    EXPECT_EQ(sim_->vmstat().global(stats::VmItem::KpromotedWake) - before,
+              4u);
 }
 
 TEST_F(MultiClockTest, FeatureRowMatchesPaper)

@@ -283,8 +283,9 @@ TEST_P(PolicyDeterminism, SameSeedSameMetrics)
         return std::make_tuple(r.throughputOpsPerSec(),
                                sim.metrics().totalPromotions(),
                                sim.metrics().totalDemotions(),
-                               sim.stats().get("hint_faults"),
-                               sim.stats().get("scanned_pages"));
+                               sim.vmstat().global(
+                                   stats::VmItem::PghintFault),
+                               sim.metrics().scannedPages());
     };
     EXPECT_EQ(runOnce(), runOnce()) << policy;
 }

@@ -23,6 +23,8 @@ namespace mclock {
 namespace policies {
 namespace {
 
+using stats::VmItem;
+
 sim::MachineConfig
 testMachine(bool cache = false)
 {
@@ -51,6 +53,18 @@ touchPage(sim::Simulator &sim)
     const Vaddr a = sim.mmap(kPageSize);
     sim.read(a);
     return sim.space().lookup(pageNumOf(a));
+}
+
+/** Pages currently armed for a hint fault. */
+std::size_t
+countPoisoned(sim::Simulator &sim)
+{
+    std::size_t poisoned = 0;
+    sim.space().forEachPage([&](Page *pg) {
+        if (pg->hintPoisoned())
+            ++poisoned;
+    });
+    return poisoned;
 }
 
 // --- Static tiering ------------------------------------------------------------
@@ -91,7 +105,7 @@ TEST(NimbleTest, PromotesOnSingleReference)
     sim.read(pg->vaddr());
     sim.compute(1100_ms);
     EXPECT_EQ(sim.pageTier(pg), TierKind::Dram);
-    EXPECT_GE(sim.stats().get("nimble_promoted"), 1u);
+    EXPECT_GE(sim.vmstat().global(VmItem::PgpromoteSuccess), 1u);
 }
 
 TEST(NimbleTest, ExchangesWhenDramFull)
@@ -137,7 +151,7 @@ TEST(NimbleTest, ScanIntervalAdjustable)
     sim.setPolicy(std::move(policy));
     nimble->setScanInterval(100_ms);
     sim.compute(1_s);
-    EXPECT_EQ(sim.stats().get("nimble_runs"), 10u);
+    EXPECT_EQ(sim.vmstat().global(VmItem::KpromotedWake), 10u);
 }
 
 TEST(NimbleTest, FeatureRow)
@@ -157,13 +171,7 @@ TEST(AutoTieringTest, ScanPoisonsPages)
     for (int i = 0; i < 64; ++i)
         sim.write(a + static_cast<Vaddr>(i) * kPageSize);
     sim.compute(1100_ms);  // one profiling pass
-    EXPECT_GT(sim.stats().get("at_poisoned"), 0u);
-    std::size_t poisoned = 0;
-    sim.space().forEachPage([&](Page *pg) {
-        if (pg->hintPoisoned())
-            ++poisoned;
-    });
-    EXPECT_GT(poisoned, 0u);
+    EXPECT_GT(countPoisoned(sim), 0u);
 }
 
 TEST(AutoTieringTest, HintFaultChargedAndCleared)
@@ -175,7 +183,7 @@ TEST(AutoTieringTest, HintFaultChargedAndCleared)
     const SimTime before = sim.now();
     sim.read(pg->vaddr());
     EXPECT_FALSE(pg->hintPoisoned());
-    EXPECT_EQ(sim.stats().get("hint_faults"), 1u);
+    EXPECT_EQ(sim.vmstat().global(VmItem::PghintFault), 1u);
     EXPECT_GE(sim.now() - before, sim.memConfig().hintFaultLatency);
 }
 
@@ -188,7 +196,7 @@ TEST(AutoTieringTest, CpmPromotesOnFaultWhenDramHasSpace)
     pg->setHintPoisoned(true);
     sim.read(pg->vaddr());  // hint fault -> synchronous promotion
     EXPECT_EQ(sim.pageTier(pg), TierKind::Dram);
-    EXPECT_EQ(sim.stats().get("at_fault_promotions"), 1u);
+    EXPECT_EQ(sim.vmstat().global(VmItem::PgpromoteSuccess), 1u);
 }
 
 TEST(AutoTieringTest, CpmFaultPathChargesMultiplier)
@@ -233,7 +241,7 @@ TEST(AutoTieringTest, CpmExchangesWithColdVictimWhenFull)
     hot->setHintPoisoned(true);  // re-arm in case a pass consumed it
     sim.read(hot->vaddr());
     EXPECT_EQ(sim.pageTier(hot), TierKind::Dram);
-    EXPECT_EQ(sim.stats().get("at_fault_exchanges"), 1u);
+    EXPECT_EQ(sim.vmstat().global(VmItem::Pgexchange), 1u);
 }
 
 TEST(AutoTieringTest, OpmDemotesZeroHistoryPagesUnderPressure)
@@ -348,7 +356,7 @@ TEST_P(AmpTest, PromotesHotPmemPages)
     // LRU and LFU must promote it; Random promotes *something*
     // eventually (it is the only PM page, so it gets picked too).
     EXPECT_EQ(sim.pageTier(pg), TierKind::Dram);
-    EXPECT_GE(sim.stats().get("amp_promoted"), 1u);
+    EXPECT_GE(sim.vmstat().global(VmItem::PgpromoteSuccess), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, AmpTest,
@@ -394,9 +402,9 @@ TEST(AutoTieringTest, PoisonChunkCappedByFootprint)
     sim.compute(1100_ms);  // one profiling pass
     // At most ~1/16th of the vpn space is poisoned per pass.
     const auto limit = sim.space().vpnLimit();
-    EXPECT_LE(sim.stats().get("at_poisoned"),
-              std::max<std::uint64_t>(64, limit / 16));
-    EXPECT_GT(sim.stats().get("at_poisoned"), 0u);
+    const std::size_t poisoned = countPoisoned(sim);
+    EXPECT_LE(poisoned, std::max<std::uint64_t>(64, limit / 16));
+    EXPECT_GT(poisoned, 0u);
 }
 
 TEST(AutoTieringTest, WarmVictimsAreProtected)
@@ -425,9 +433,9 @@ TEST(AutoTieringTest, WarmVictimsAreProtected)
     });
     ASSERT_NE(hot, nullptr);
     hot->setHintPoisoned(true);
-    const auto before = sim.stats().get("at_fault_exchanges");
+    const auto before = sim.vmstat().global(VmItem::Pgexchange);
     sim.read(hot->vaddr());
-    EXPECT_EQ(sim.stats().get("at_fault_exchanges"), before);
+    EXPECT_EQ(sim.vmstat().global(VmItem::Pgexchange), before);
     EXPECT_EQ(sim.pageTier(hot), TierKind::Pmem);
 }
 
@@ -466,7 +474,7 @@ TEST(AutoNumaTieringTest, NeverExchangesWhenFull)
     hot->setHintPoisoned(true);
     sim.read(hot->vaddr());
     EXPECT_EQ(sim.pageTier(hot), TierKind::Pmem);  // stays put
-    EXPECT_EQ(sim.stats().get("at_fault_exchanges"), 0u);
+    EXPECT_EQ(sim.vmstat().global(VmItem::Pgexchange), 0u);
     EXPECT_STREQ(
         AutoTieringPolicy(AutoTieringMode::AutoNuma).name(),
         "autonuma");

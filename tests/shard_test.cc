@@ -256,6 +256,9 @@ runFingerprint(unsigned workers, std::uint64_t budget)
     fp += "\naccesses=" + std::to_string(merged.totalAccesses());
     fp += " promotions=" + std::to_string(merged.totalPromotions());
     fp += " demotions=" + std::to_string(merged.totalDemotions());
+    fp += " inline_ns=" + std::to_string(merged.inlineOverheadNs());
+    fp += " background_ns=" + std::to_string(merged.backgroundWorkNs());
+    fp += " scanned=" + std::to_string(merged.scannedPages());
     return fp;
 }
 

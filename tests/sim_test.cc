@@ -352,6 +352,24 @@ TEST(MetricsTest, ReaccessPercent)
     EXPECT_DOUBLE_EQ(metrics.windows()[0].reaccessPercent(), 50.0);
 }
 
+TEST(MetricsTest, MergeFromAddsChargeTotals)
+{
+    Metrics a(20_s), b(20_s);
+    a.addInlineOverhead(100);
+    a.addBackgroundWork(7);
+    a.addScannedPages(3);
+    b.addInlineOverhead(20);
+    b.addBackgroundWork(5);
+    b.addScannedPages(64);
+    a.mergeFrom(b);
+    EXPECT_EQ(a.inlineOverheadNs(), 120u);
+    EXPECT_EQ(a.backgroundWorkNs(), 12u);
+    EXPECT_EQ(a.scannedPages(), 67u);
+    // The source is left as it was.
+    EXPECT_EQ(b.inlineOverheadNs(), 20u);
+    EXPECT_EQ(b.scannedPages(), 64u);
+}
+
 // --- Simulator access path -------------------------------------------------------------
 
 std::unique_ptr<Simulator>
@@ -362,12 +380,22 @@ makeSim(MachineConfig cfg = tinyTestMachine())
     return sim;
 }
 
+/** Minor faults: frame allocations that were not swap-ins. */
+std::uint64_t
+minorFaults(const Simulator &sim)
+{
+    using stats::VmItem;
+    const auto &vm = sim.vmstat();
+    return vm.global(VmItem::PgfaultDram) + vm.global(VmItem::PgfaultPm) -
+           vm.global(VmItem::Pswpin);
+}
+
 TEST(SimulatorTest, FirstTouchFaultsAndPlaces)
 {
     auto sim = makeSim();
     const Vaddr a = sim->mmap(4 * kPageSize);
     sim->read(a);
-    EXPECT_EQ(sim->stats().get("minor_faults"), 1u);
+    EXPECT_EQ(minorFaults(*sim), 1u);
     Page *pg = sim->space().lookup(pageNumOf(a));
     ASSERT_NE(pg, nullptr);
     EXPECT_TRUE(pg->resident());
@@ -473,7 +501,7 @@ TEST(SimulatorTest, BackgroundChargeUsesInterference)
     EXPECT_EQ(sim->now() - before,
               static_cast<SimTime>(
                   1000 * sim->memConfig().backgroundInterference));
-    EXPECT_EQ(sim->stats().get("background_work_ns"), 1000u);
+    EXPECT_EQ(sim->metrics().backgroundWorkNs(), 1000u);
 }
 
 TEST(SimulatorTest, UnmapFreesFramesAndPages)
@@ -498,11 +526,12 @@ TEST(SimulatorTest, EvictionAndSwapIn)
     sim->policy().onPageFreed(pg);
     sim->evictPage(pg);
     EXPECT_FALSE(pg->resident());
-    EXPECT_EQ(sim->stats().get("swap_outs"), 1u);
+    EXPECT_EQ(sim->vmstat().global(stats::VmItem::Pswpout), 1u);
     // Touching it swaps back in.
     sim->read(a);
     EXPECT_TRUE(pg->resident());
-    EXPECT_EQ(sim->stats().get("swap_ins"), 1u);
+    EXPECT_EQ(sim->vmstat().global(stats::VmItem::Pswpin), 1u);
+    EXPECT_EQ(sim->swap().pageIns(), 1u);
     EXPECT_EQ(sim->swap().usedSlots(), 0u);
 }
 
@@ -511,7 +540,7 @@ TEST(SimulatorTest, MultiPageAccessTouchesEveryPage)
     auto sim = makeSim();
     const Vaddr a = sim->mmap(4 * kPageSize);
     sim->read(a, 3 * kPageSize);
-    EXPECT_EQ(sim->stats().get("minor_faults"), 3u);
+    EXPECT_EQ(minorFaults(*sim), 3u);
 }
 
 TEST(SimulatorTest, PromoteAndDemoteHelpers)
@@ -560,7 +589,7 @@ TEST(SimulatorTest, BackgroundMigrationChargesFixedPortionInline)
     const SimTime base =
         cfg.mem.pageMigrationCost(TierKind::Dram, TierKind::Pmem);
     const SimTime before = sim->now();
-    const auto inlineBefore = sim->stats().get("inline_overhead_ns");
+    const auto inlineBefore = sim->metrics().inlineOverheadNs();
     ASSERT_TRUE(sim->demotePage(pg, Simulator::ChargeMode::Background));
     const SimTime charged = sim->now() - before;
     // Inline part: the TLB-shootdown fixed cost. Background part: the
@@ -570,7 +599,7 @@ TEST(SimulatorTest, BackgroundMigrationChargesFixedPortionInline)
         static_cast<SimTime>((base - cfg.mem.migrationFixedCost) *
                              cfg.mem.backgroundInterference);
     EXPECT_EQ(charged, expected);
-    EXPECT_EQ(sim->stats().get("inline_overhead_ns") - inlineBefore,
+    EXPECT_EQ(sim->metrics().inlineOverheadNs() - inlineBefore,
               cfg.mem.migrationFixedCost);
 }
 

@@ -196,7 +196,12 @@ TEST(InstrumentedArrayTest, AccessesFlowThroughSimulator)
     EXPECT_EQ(sim->metrics().totalAccesses(), before + 2);
     // Elements land at the right vaddrs (dense page usage).
     arr.get(1024);  // different page -> new fault
-    EXPECT_GE(sim->stats().get("minor_faults"), 2u);
+    // Minor faults: frame allocations that were not swap-ins.
+    const auto &vm = sim->vmstat();
+    EXPECT_GE(vm.global(stats::VmItem::PgfaultDram) +
+                  vm.global(stats::VmItem::PgfaultPm) -
+                  vm.global(stats::VmItem::Pswpin),
+              2u);
 }
 
 TEST(InstrumentedArrayTest, UpdateDoesReadAndWrite)
