@@ -1,9 +1,9 @@
 /**
  * @file
  * Unified experiment driver. Every paper experiment (figures, Table I,
- * ablations, microbenchmarks) is a registered scenario; this binary
- * lists, filters, and runs them on a thread pool with deterministic
- * output, and maintains the golden regression fixtures.
+ * ablations) is a registered scenario; this binary lists, filters, and
+ * runs them on a thread pool with deterministic output, and maintains
+ * the golden regression fixtures.
  *
  *   mclock_bench --list
  *   mclock_bench --filter fig05 --jobs 4 --out results/
@@ -55,7 +55,7 @@ usage(const char *prog)
         "  --out DIR         artifact/manifest directory (default .)\n"
         "  --seed N          base seed (default %llu; the default "
         "reproduces\n"
-        "                    the legacy single-experiment binaries)\n"
+        "                    the golden fixtures and EXPERIMENTS.md)\n"
         "  --param K=V       integer scenario parameter (e.g. "
         "ops=100000);\n"
         "                    repeatable\n"
@@ -314,6 +314,17 @@ main(int argc, char **argv)
         }
     }
 
+    // A baseline that cannot be used must stop the run before any
+    // scenario is timed, not vanish from the report.
+    if (!benchBaseline.empty()) {
+        std::string err;
+        if (loadBenchBaseline(benchBaseline, &err).isNull()) {
+            std::fprintf(stderr, "cannot use --bench-baseline '%s': %s\n",
+                         benchBaseline.c_str(), err.c_str());
+            return 2;
+        }
+    }
+
     if (list) {
         listScenarios();
         return 0;
@@ -374,7 +385,9 @@ main(int argc, char **argv)
             std::printf("\nsuite: %zu scenario(s), %.2fs best-total",
                         report.scenarios.size(),
                         report.totalBestSeconds());
-            if (doc.contains("speedup_vs_baseline")) {
+            // An explicit null speedup (no shared scenario) has no
+            // ratio to print.
+            if (doc["speedup_vs_baseline"].isNumber()) {
                 std::printf(", %.2fx vs baseline",
                             doc["speedup_vs_baseline"].asNumber());
             }

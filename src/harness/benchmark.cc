@@ -132,17 +132,26 @@ runBenchmark(const std::vector<const Scenario *> &scenarios,
 }
 
 Json
-loadBenchBaseline(const std::string &path)
+loadBenchBaseline(const std::string &path, std::string *err)
 {
+    auto fail = [err](std::string why) {
+        if (err)
+            *err = std::move(why);
+        return Json();
+    };
     std::ifstream f(path);
     if (!f)
-        return Json();
+        return fail("cannot open file");
     std::stringstream ss;
     ss << f.rdbuf();
-    std::string err;
-    Json doc = Json::parse(ss.str(), &err);
-    if (!err.empty() || !doc.isObject())
-        return Json();
+    std::string parseErr;
+    Json doc = Json::parse(ss.str(), &parseErr);
+    if (!parseErr.empty())
+        return fail("not valid JSON: " + parseErr);
+    if (!doc.isObject())
+        return fail("not a JSON object");
+    if (!doc["scenarios"].isObject())
+        return fail("no \"scenarios\" object");
     return doc;
 }
 
@@ -197,8 +206,7 @@ benchReportToJson(const BenchReport &report, const BenchOptions &opts)
 
     if (!opts.baselinePath.empty()) {
         Json baseline = loadBenchBaseline(opts.baselinePath);
-        if (baseline.isObject() &&
-            baseline["scenarios"].isObject()) {
+        if (baseline.isObject()) {
             // Speedup over the intersection, so a partial --filter run
             // still reports an honest like-for-like ratio.
             double baseSum = 0.0, measuredSum = 0.0;

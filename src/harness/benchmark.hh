@@ -107,15 +107,19 @@ BenchReport runBenchmark(const std::vector<const Scenario *> &scenarios,
 
 /**
  * Serialize @p report as the BENCH_<n>.json document. When
- * @p opts.baselinePath parses, the baseline is embedded and
+ * @p opts.baselinePath loads, the baseline is embedded and
  * "speedup_vs_baseline" is total baseline seconds / total best seconds
  * over the intersection of scenario names.
  */
 Json benchReportToJson(const BenchReport &report,
                        const BenchOptions &opts);
 
-/** Load the baseline document; returns a null Json on any failure. */
-Json loadBenchBaseline(const std::string &path);
+/**
+ * Load the baseline document: a JSON object with a "scenarios" object.
+ * @param[out] err set to the reason on failure (when non-null)
+ * @return the document, or a null Json on any failure
+ */
+Json loadBenchBaseline(const std::string &path, std::string *err = nullptr);
 
 }  // namespace harness
 }  // namespace mclock

@@ -4,97 +4,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <thread>
 
 #include "base/logging.hh"
-#include "base/sync.hh"
+#include "base/thread_pool.hh"
 #include "harness/manifest.hh"
 
 namespace mclock {
 namespace harness {
 
 namespace {
-
-/**
- * Fixed-size pool draining a closed work queue. All queue/counter
- * state is guarded by mu_ and statically checked (base/sync.hh):
- * every access outside the lock is a compile error under
- * -Wthread-safety, so the lock scopes below are the whole story.
- */
-class ThreadPool
-{
-  public:
-    explicit ThreadPool(unsigned workers)
-    {
-        for (unsigned i = 0; i < workers; ++i)
-            threads_.emplace_back([this] { workerLoop(); });
-    }
-
-    ~ThreadPool()
-    {
-        {
-            base::MutexLock lock(mu_);
-            closed_ = true;
-        }
-        cv_.notifyAll();
-        for (auto &t : threads_)
-            t.join();
-    }
-
-    void
-    submit(std::function<void()> task) MCLOCK_EXCLUDES(mu_)
-    {
-        {
-            base::MutexLock lock(mu_);
-            queue_.push(std::move(task));
-            ++pending_;
-        }
-        cv_.notifyOne();
-    }
-
-    /** Block until every submitted task has finished. */
-    void
-    drain() MCLOCK_EXCLUDES(mu_)
-    {
-        base::MutexLock lock(mu_);
-        while (pending_ != 0)
-            done_.wait(mu_);
-    }
-
-  private:
-    void
-    workerLoop() MCLOCK_EXCLUDES(mu_)
-    {
-        for (;;) {
-            std::function<void()> task;
-            {
-                base::MutexLock lock(mu_);
-                while (!closed_ && queue_.empty())
-                    cv_.wait(mu_);
-                if (queue_.empty())
-                    return;  // closed and drained
-                task = std::move(queue_.front());
-                queue_.pop();
-            }
-            task();
-            {
-                base::MutexLock lock(mu_);
-                if (--pending_ == 0)
-                    done_.notifyAll();
-            }
-        }
-    }
-
-    base::Mutex mu_;
-    base::CondVar cv_;    ///< work available (or pool closed)
-    base::CondVar done_;  ///< pending_ hit zero
-    std::queue<std::function<void()>> queue_ MCLOCK_GUARDED_BY(mu_);
-    std::size_t pending_ MCLOCK_GUARDED_BY(mu_) = 0;
-    bool closed_ MCLOCK_GUARDED_BY(mu_) = false;
-    std::vector<std::thread> threads_;
-};
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -141,7 +60,7 @@ runScenarios(const std::vector<const Scenario *> &scenarios,
     }
 
     {
-        ThreadPool pool(jobs);
+        base::ThreadPool pool(jobs);
         for (auto &e : expanded) {
             // mclock-lint: wall-clock-ok(per-scenario wall_seconds)
             e.start = std::chrono::steady_clock::now();

@@ -58,7 +58,7 @@ allScenarios()
         auto gapbs = makeGapbsScenarios();  // fig06, fig07
 
         // Interleave into figure order: fig01, fig02, tab01, fig05,
-        // fig06, fig07, fig08, fig09, fig10, ablations, micro.
+        // fig06, fig07, fig08, fig09, fig10, then the ablations.
         all.push_back(trace[0]);
         all.push_back(trace[1]);
         all.push_back(trace[2]);
@@ -73,7 +73,6 @@ allScenarios()
         add(makeFaultinjScenarios());         // faultinj_* (fault sweep)
         add(makeShardScenarios());            // shard_bigmem family
         add(makeTenantScenarios());           // tenant_* (memcg QoS)
-        all.push_back(makeMicroScenario());
         return all;
     }();
     return registry;

@@ -40,7 +40,7 @@ constexpr std::uint64_t kDefaultSeed = 42;
 /** Options applied to one scenario execution. */
 struct RunContext
 {
-    /** Base seed; kDefaultSeed reproduces the legacy binaries. */
+    /** Base seed; kDefaultSeed reproduces the golden fixtures. */
     std::uint64_t seed = kDefaultSeed;
 
     /** Golden profile: reduced-scale parameters for regression runs. */

@@ -15,6 +15,7 @@
 #include "harness/invariants.hh"
 #include "harness/profiles.hh"
 #include "harness/scenario.hh"
+#include "sim/sharded.hh"
 #include "sim/simulator.hh"
 
 namespace mclock {
@@ -91,6 +92,32 @@ checkRunInvariants(sim::Simulator &sim, RunRecord &rec)
     }
 }
 
+/**
+ * checkRunInvariants for a sharded host: every shard's violations
+ * (prefixed "shard<s>: ", shard order), the merged vmstat snapshot,
+ * the work totals, and the coordinator trace in stats mode.
+ */
+inline void
+checkShardedRunInvariants(sim::ShardedSimulator &host, RunRecord &rec,
+                          const RunContext &ctx)
+{
+    std::uint64_t accesses = 0;
+    for (unsigned s = 0; s < host.shards(); ++s) {
+        sim::Simulator &sim = host.shard(s);
+        const std::string prefix = "shard" + std::to_string(s) + ": ";
+        for (auto &v : collectViolations(sim))
+            rec.violations.push_back(prefix + std::move(v));
+        for (auto &v : collectCounterViolations(sim))
+            rec.violations.push_back(prefix + std::move(v));
+        accesses += sim.metrics().totalAccesses();
+    }
+    rec.vmstat = host.mergedVmstat().snapshot();
+    rec.perfAppOps = host.totalAppOps();
+    rec.perfSimAccesses = accesses;
+    if (ctx.stats)
+        rec.traceEvents = host.trace().events();
+}
+
 /** Scenario factory groups (one per definition file). */
 std::vector<Scenario> makeTraceScenarios();   // fig01, fig02, tab01
 std::vector<Scenario> makeYcsbScenarios();    // fig05/08/09/10 + ablations
@@ -99,7 +126,6 @@ std::vector<Scenario> makeTier3Scenarios();   // tier3_* (DRAM/CXL/PM)
 std::vector<Scenario> makeFaultinjScenarios();  // faultinj_* (fault sweep)
 std::vector<Scenario> makeShardScenarios();   // shard_bigmem family
 std::vector<Scenario> makeTenantScenarios();  // tenant_* (memcg QoS)
-Scenario makeMicroScenario();                 // micro_structures
 
 }  // namespace harness
 }  // namespace mclock

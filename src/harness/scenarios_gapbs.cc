@@ -1,26 +1,15 @@
 /**
  * @file
  * Graph-workload scenarios: Fig. 6 (GAPBS kernels under each tiering
- * policy) and Fig. 7 (Memory-mode comparison), plus the host-timed
- * micro_structures scenario. Ported from the original bench mains;
- * default-profile output is byte-identical to the legacy binaries.
+ * policy) and Fig. 7 (Memory-mode comparison).
  */
 
-#include <chrono>
 #include <map>
-#include <memory>
 
 #include "base/csv.hh"
-#include "base/rng.hh"
 #include "harness/scenario_common.hh"
-#include "mem/cache.hh"
-#include "pfra/lru_lists.hh"
-#include "pfra/vmscan.hh"
-#include "vm/address_space.hh"
-#include "vm/page.hh"
 #include "workloads/gapbs/driver.hh"
 #include "workloads/ycsb.hh"
-#include "workloads/zipf.hh"
 
 namespace mclock {
 namespace harness {
@@ -291,167 +280,7 @@ fig07Scenario()
     return sc;
 }
 
-// --- micro_structures ---------------------------------------------------
-
-/** Host-time a loop body; returns ns per iteration. */
-template <typename F>
-double
-nsPerOp(std::uint64_t iters, F &&body)
-{
-    // mclock-lint: wall-clock-ok(host-timing diagnostic; not simulated state)
-    const auto t0 = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < iters; ++i)
-        body(i);
-    // mclock-lint: wall-clock-ok(host-timing diagnostic; not simulated state)
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           static_cast<double>(iters);
-}
-
 }  // namespace
-
-Scenario
-makeMicroScenario()
-{
-    Scenario sc;
-    sc.name = "micro_structures";
-    sc.title = "Microbenchmarks: hot data structures (host ns/op)";
-    sc.workload = "micro";
-    sc.policies = {};
-    sc.goldenEligible = false;  // host-timed, inherently nondeterministic
-    sc.expand = [](const RunContext &ctx) {
-        std::vector<RunUnit> units;
-        units.push_back({"timings", [ctx](const RunContext &) {
-            RunRecord rec;
-            volatile std::uint64_t sink = 0;
-
-            {
-                AddressSpace space;
-                pfra::NodeLists lists;
-                std::vector<std::unique_ptr<Page>> pages;
-                for (int i = 0; i < 1024; ++i) {
-                    pages.push_back(
-                        std::make_unique<Page>(&space, i, true));
-                    lists.add(pages.back().get(),
-                              LruListKind::InactiveAnon);
-                }
-                rec.metrics["lru_list_move_ns"] =
-                    nsPerOp(1u << 18, [&](std::uint64_t i) {
-                        Page *pg = pages[i & 1023].get();
-                        lists.moveTo(pg, LruListKind::ActiveAnon);
-                        lists.moveTo(pg, LruListKind::InactiveAnon);
-                    });
-            }
-
-            {
-                AddressSpace space;
-                pfra::NodeLists lists;
-                std::vector<std::unique_ptr<Page>> pages;
-                const std::size_t n = 1024;
-                for (std::size_t i = 0; i < n; ++i) {
-                    pages.push_back(
-                        std::make_unique<Page>(&space, i, true));
-                    lists.add(pages.back().get(),
-                              LruListKind::ActiveAnon);
-                }
-                Rng rng(ctx.seed);
-                rec.metrics["clock_scan_pass_ns"] =
-                    nsPerOp(256, [&](std::uint64_t) {
-                        for (std::size_t i = 0; i < n / 3; ++i)
-                            pages[rng.nextRange(n)]->setPteReferenced(
-                                true);
-                        sink = sink +
-                               pfra::shrinkActiveList(lists, true, n)
-                                   .scanned;
-                        auto &inactive =
-                            lists.list(LruListKind::InactiveAnon);
-                        while (Page *pg = inactive.back())
-                            lists.moveTo(pg, LruListKind::ActiveAnon);
-                    });
-            }
-
-            {
-                CacheConfig cfg;
-                cfg.sizeBytes = 1_MiB;
-                CacheModel cache(cfg);
-                Rng rng(ctx.seed + 1);
-                rec.metrics["cache_access_ns"] =
-                    nsPerOp(1u << 18, [&](std::uint64_t) {
-                        sink = sink +
-                               cache.access(rng.nextRange(64_MiB),
-                                            false).hit;
-                    });
-            }
-
-            {
-                workloads::ZipfianGenerator zipf(1u << 20);
-                Rng rng(ctx.seed + 2);
-                rec.metrics["zipf_next_ns"] =
-                    nsPerOp(1u << 18, [&](std::uint64_t) {
-                        sink = sink + zipf.next(rng);
-                    });
-            }
-
-            {
-                sim::MachineConfig cfg = sim::benchMachine();
-                cfg.seed = ctx.seed;
-                sim::Simulator sim(cfg);
-                sim.setPolicy(policies::makePolicy("multiclock"));
-                const std::size_t pages = 4096;
-                const Vaddr base = sim.mmap(pages * kPageSize);
-                for (std::size_t i = 0; i < pages; ++i)
-                    sim.write(base + i * kPageSize);
-                Rng rng(ctx.seed + 3);
-                rec.metrics["sim_access_path_ns"] =
-                    nsPerOp(1u << 16, [&](std::uint64_t) {
-                        const Vaddr va =
-                            base + rng.nextRange(pages) * kPageSize +
-                            (rng.next64() & 0xfc0);
-                        sim.read(va, 8);
-                    });
-            }
-
-            {
-                sim::MachineConfig cfg = sim::benchMachine();
-                cfg.seed = ctx.seed;
-                sim::Simulator sim(cfg);
-                sim.setPolicy(policies::makePolicy("static"));
-                const Vaddr base = sim.mmap(kPageSize);
-                sim.write(base);
-                Page *pg = sim.space().lookup(pageNumOf(base));
-                sim.policy().onPageFreed(pg);  // isolate
-                rec.metrics["migration_round_trip_ns"] =
-                    nsPerOp(1u << 14, [&](std::uint64_t) {
-                        sim.demotePage(
-                            pg, sim::Simulator::ChargeMode::Background);
-                        sim.promotePage(
-                            pg, sim::Simulator::ChargeMode::Background);
-                    });
-            }
-
-            (void)sink;
-            return rec;
-        }});
-        return units;
-    };
-    sc.reduce = [sc](const RunContext &ctx,
-                     const std::vector<RunRecord> &records) {
-        ScenarioOutput out = mergeRecords(sc.expand(ctx), records);
-        out.text.clear();
-        appendf(out.text,
-                "=== Microbenchmarks: hot data structures (host time) "
-                "===\n");
-        appendf(out.text, "%-24s %12s\n", "benchmark", "ns/op");
-        for (const auto &[key, value] : records[0].metrics) {
-            appendf(out.text, "%-24s %12.1f\n", key.c_str(), value);
-        }
-        appendf(out.text,
-                "\n(host-timed; see the micro_structures binary for "
-                "the full google-benchmark suite)\n");
-        return out;
-    };
-    return sc;
-}
 
 std::vector<Scenario>
 makeGapbsScenarios()

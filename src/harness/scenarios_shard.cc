@@ -195,20 +195,7 @@ runShardUnit(const std::string &policy, const RunContext &ctx,
     rec.metrics["min_shard_accesses"] = static_cast<double>(minAcc);
     rec.metrics["max_shard_accesses"] = static_cast<double>(maxAcc);
 
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        sim::Simulator &sim = host.shard(s);
-        for (auto &v : collectViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-        for (auto &v : collectCounterViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-    }
-    rec.vmstat = vmstat.snapshot();
-    rec.perfAppOps = host.totalAppOps();
-    rec.perfSimAccesses = merged.totalAccesses();
-    if (ctx.stats)
-        rec.traceEvents = host.trace().events();
+    checkShardedRunInvariants(host, rec, ctx);
     return rec;
 }
 

@@ -326,20 +326,7 @@ runNoisyUnit(TenantMix mix, const RunContext &ctx)
             static_cast<double>(thrasherAccesses);
     }
 
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        sim::Simulator &sim = host.shard(s);
-        for (auto &v : collectViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-        for (auto &v : collectCounterViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-    }
-    rec.vmstat = vmstat.snapshot();
-    rec.perfAppOps = host.totalAppOps();
-    rec.perfSimAccesses = merged.totalAccesses();
-    if (ctx.stats)
-        rec.traceEvents = host.trace().events();
+    checkShardedRunInvariants(host, rec, ctx);
     return rec;
 }
 
@@ -582,20 +569,7 @@ runChurnUnit(const std::string &policy, const RunContext &ctx)
         vmstat.global(stats::VmItem::PgtenantPromoteDeferred));
     rec.metrics["epochs"] = static_cast<double>(host.epochs());
 
-    for (unsigned s = 0; s < host.shards(); ++s) {
-        sim::Simulator &sim = host.shard(s);
-        for (auto &v : collectViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-        for (auto &v : collectCounterViolations(sim))
-            rec.violations.push_back("shard" + std::to_string(s) +
-                                     ": " + std::move(v));
-    }
-    rec.vmstat = vmstat.snapshot();
-    rec.perfAppOps = host.totalAppOps();
-    rec.perfSimAccesses = merged.totalAccesses();
-    if (ctx.stats)
-        rec.traceEvents = host.trace().events();
+    checkShardedRunInvariants(host, rec, ctx);
     return rec;
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * Motivation-study scenarios: Fig. 1 heatmaps, Fig. 2 window analysis,
- * and Table I. Ported from the original bench mains; default-profile
- * output is byte-identical to the legacy binaries.
+ * and Table I.
  */
 
 #include <sstream>

@@ -2,9 +2,7 @@
  * @file
  * YCSB-driven scenarios: Fig. 5 (throughput), Fig. 8 (promotion
  * volume), Fig. 9 (re-access quality), Fig. 10 (scan-interval
- * sensitivity), and the four ablations. Ported from the original bench
- * mains; default-profile output is byte-identical to the legacy
- * binaries.
+ * sensitivity), and the four ablations.
  */
 
 #include <algorithm>

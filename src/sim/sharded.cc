@@ -1,9 +1,9 @@
 #include "sim/sharded.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "base/logging.hh"
+#include "base/thread_pool.hh"
 
 namespace mclock {
 namespace sim {
@@ -142,9 +142,10 @@ void
 ShardedSimulator::run(const EpochDriver &driver)
 {
     // run() is the coordinator: it owns the merge state between the
-    // join barriers it itself erects.
+    // drain barriers it itself erects.
     coordinator_.assertHeld();
     const unsigned shards = this->shards();
+    base::ThreadPool pool(workers_);
     std::uint64_t epoch = epochs_;
     for (;;) {
         bool any = false;
@@ -153,38 +154,19 @@ ShardedSimulator::run(const EpochDriver &driver)
         if (!any)
             break;
 
-        if (workers_ <= 1) {
-            // Single-threaded execution width: run the shards in shard
-            // order on the calling thread — the reference schedule the
-            // parallel path must (and does) reproduce bit for bit.
-            for (unsigned s = 0; s < shards; ++s) {
-                if (active_[s])
-                    runEpochOn(s, epoch, grants_[s], driver);
-            }
-        } else {
-            // Static round-robin shard ownership: worker w drives
-            // shards w, w+W, ... in shard order. No work queue, no
-            // shared mutable state below the join barrier: the epoch's
-            // grants are snapshotted here, before any worker starts,
-            // so workers never read coordinator-owned vectors (the
-            // hole the thread-safety analysis exposed — nothing
-            // stopped a future merge-path mutation of grants_ from
-            // racing these reads).
-            const std::vector<std::uint64_t> grants = grants_;
-            std::vector<std::thread> pool;
-            pool.reserve(workers_);
-            for (unsigned w = 0; w < workers_; ++w) {
-                pool.emplace_back([this, w, epoch, &driver, &grants,
-                                   shards] {
-                    for (unsigned s = w; s < shards; s += workers_) {
-                        if (active_[s])
-                            runEpochOn(s, epoch, grants[s], driver);
-                    }
-                });
-            }
-            for (auto &t : pool)
-                t.join();
+        // One task per active shard, queued in shard order; a
+        // one-worker pool runs them FIFO, which is the sequential
+        // reference schedule every wider pool reproduces bit for bit.
+        // Each task carries its grant by value, read here on the
+        // coordinator, so no worker reads coordinator-owned grants_.
+        for (unsigned s = 0; s < shards; ++s) {
+            if (!active_[s])
+                continue;
+            pool.submit([this, s, epoch, grant = grants_[s], &driver] {
+                runEpochOn(s, epoch, grant, driver);
+            });
         }
+        pool.drain();
 
         mergeEpoch(epoch);
         ++epoch;

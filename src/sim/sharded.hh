@@ -22,7 +22,9 @@
  *     pure function of the merged order.
  *
  * Result: running with 1 worker or 8 workers is bit-identical, the
- * same bar the harness thread pool set for `--jobs`.
+ * same bar the harness set for `--jobs`. Both run on the same
+ * base::ThreadPool: run() queues one task per active shard each epoch
+ * and drains the pool before merging.
  */
 
 #ifndef MCLOCK_SIM_SHARDED_HH_
@@ -53,7 +55,7 @@ struct ShardOptions
 
     /**
      * Worker threads driving the shards each epoch (clamped to the
-     * shard count; 0 and 1 both mean single-threaded). Changing this
+     * shard count; 0 and 1 both mean one worker). Changing this
      * changes wall-clock time only, never results.
      */
     unsigned workers = 1;
@@ -129,8 +131,9 @@ class ShardedSimulator
     /**
      * Run epochs until every shard's driver has returned false:
      * each epoch = parallel shard sub-simulations (beginShardEpoch
-     * with the shard's grant, then the driver), a join barrier, and
-     * the deterministic merge (drain logs, seniority-sort, accumulate,
+     * with the shard's grant, then the driver) queued on a
+     * base::ThreadPool of workers() threads, a drain barrier, and the
+     * deterministic merge (drain logs, seniority-sort, accumulate,
      * recompute grants).
      */
     void run(const EpochDriver &driver);
@@ -176,8 +179,8 @@ class ShardedSimulator
      * coordinator-guarded merge state, which -Wthread-safety enforces:
      * this function does not assert the coordinator role, so any
      * access to a MCLOCK_GUARDED_BY(coordinator_) member here is a
-     * compile error (the grant is snapshotted by the coordinator and
-     * passed in by value for exactly that reason).
+     * compile error (the coordinator reads the grant when it queues
+     * the task and passes it in by value for exactly that reason).
      */
     void runEpochOn(unsigned s, std::uint64_t epoch,
                     std::uint64_t grant, const EpochDriver &driver);
@@ -195,7 +198,7 @@ class ShardedSimulator
     /**
      * Coordinator thread-confinement capability (base/sync.hh): the
      * merge state below is owned by whichever thread runs run() /
-     * mergeEpoch() and is handed off only at the epoch join barrier.
+     * mergeEpoch() and is handed off only at the epoch drain barrier.
      * Functions that may execute on worker threads (runEpochOn) never
      * assert this role, so -Wthread-safety rejects any worker-side
      * access to guarded members at compile time.
@@ -204,10 +207,17 @@ class ShardedSimulator
 
     /** Next-epoch promotion grants, recomputed at each merge. */
     std::vector<std::uint64_t> grants_ MCLOCK_GUARDED_BY(coordinator_);
-    /** Shards whose driver still wants epochs (uint8: thread-safe
-     *  element writes, unlike vector<bool>). Written element-disjoint
-     *  by workers (shard s only from s's owner), read by the
-     *  coordinator after the join barrier — not role-guarded. */
+    /**
+     * Shards whose driver still wants epochs (uint8: thread-safe
+     * element writes, unlike vector<bool>). Written element-disjoint
+     * by pool workers (shard s only by the task running s this
+     * epoch), read by the coordinator — not role-guarded. The
+     * ordering comes from base::ThreadPool::drain(): each worker
+     * decrements pending_ under mu_ after its task returns, and the
+     * coordinator reads active_ and drains the logs only after drain()
+     * has re-acquired mu_ and seen pending_ == 0, so every task's
+     * writes happen-before the merge and the next epoch's submits.
+     */
     std::vector<std::uint8_t> active_;
     std::vector<ShardEvent> events_ MCLOCK_GUARDED_BY(coordinator_);
     stats::VmStat coordVmstat_;

@@ -1,11 +1,12 @@
 /**
  * @file
- * Unit tests for the base module: RNG, intrusive list, stats, CSV,
- * slab arena, flat map.
+ * Unit tests for the base module: RNG, intrusive list, CSV, slab
+ * arena, flat map, thread pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "base/flat_map.hh"
 #include "base/intrusive_list.hh"
 #include "base/rng.hh"
+#include "base/thread_pool.hh"
 #include "base/types.hh"
 #include "base/units.hh"
 
@@ -498,6 +500,68 @@ TEST(FlatMap64Test, ChurnPropertyAgainstUnorderedMap)
         ASSERT_NE(got, nullptr);
         EXPECT_EQ(*got, v);
     }
+}
+
+// --- ThreadPool ----------------------------------------------------------
+
+TEST(ThreadPoolTest, ManySubmitDrainRoundsOnOnePool)
+{
+    // The sharded epoch loop's pattern: one pool, a round of tasks,
+    // drain, repeat. Every round must complete in full before drain()
+    // returns, round after round.
+    base::ThreadPool pool(3);
+    std::atomic<unsigned> done{0};
+    for (unsigned round = 1; round <= 200; ++round) {
+        for (unsigned t = 0; t < 5; ++t)
+            pool.submit([&done] { done.fetch_add(1); });
+        pool.drain();
+        ASSERT_EQ(done.load(), round * 5);
+    }
+}
+
+TEST(ThreadPoolTest, DrainWithNothingSubmittedReturns)
+{
+    base::ThreadPool pool(2);
+    pool.drain();
+    pool.submit([] {});
+    pool.drain();
+    pool.drain();  // already drained: returns at once
+}
+
+TEST(ThreadPoolTest, RoundSeesPreviousRoundWrites)
+{
+    // Plain (non-atomic) cells: round r's tasks read every cell the
+    // previous round wrote, on whichever worker wrote it. Correct only
+    // because drain() orders those writes before the next submits
+    // (tsan checks the edge).
+    constexpr unsigned kCells = 8;
+    std::vector<std::uint64_t> prev(kCells, 1), cur(kCells, 0);
+    base::ThreadPool pool(4);
+    for (unsigned round = 0; round < 50; ++round) {
+        for (unsigned i = 0; i < kCells; ++i) {
+            pool.submit([&prev, &cur, i] {
+                cur[i] = prev[i] + prev[(i + 1) % kCells];
+            });
+        }
+        pool.drain();
+        prev.swap(cur);
+    }
+    // Every cell doubles each round from 1: 2^50.
+    for (unsigned i = 0; i < kCells; ++i)
+        EXPECT_EQ(prev[i], std::uint64_t{1} << 50);
+}
+
+TEST(ThreadPoolTest, OneWorkerRunsTasksInSubmissionOrder)
+{
+    // The sequential reference schedule of the sharded epoch loop.
+    base::ThreadPool pool(1);
+    std::vector<unsigned> order;
+    for (unsigned t = 0; t < 16; ++t)
+        pool.submit([&order, t] { order.push_back(t); });
+    pool.drain();
+    ASSERT_EQ(order.size(), 16u);
+    for (unsigned t = 0; t < 16; ++t)
+        EXPECT_EQ(order[t], t);
 }
 
 }  // namespace

@@ -265,8 +265,12 @@ runFingerprint(unsigned workers, std::uint64_t budget)
 TEST(ShardedSimulatorTest, WorkerCountNeverChangesResults)
 {
     const std::string w1 = runFingerprint(1, 0);
+    const std::string w2 = runFingerprint(2, 0);
+    const std::string w3 = runFingerprint(3, 0);  // one worker runs two
     const std::string w4 = runFingerprint(4, 0);
     const std::string w8 = runFingerprint(8, 0);  // clamps to 4 shards
+    EXPECT_EQ(w1, w2);
+    EXPECT_EQ(w1, w3);
     EXPECT_EQ(w1, w4);
     EXPECT_EQ(w1, w8);
     // The run did real tiering work, or this test proves nothing.
